@@ -22,14 +22,13 @@
 //! `--full` uses the larger dataset presets (slower, closer to the paper's
 //! relative gaps).
 
-use htsp_bench::{
-    datasets, default_experiment_graphs, format_result_row, host_algorithm,
-    run_throughput_comparison, AlgorithmSet,
-};
 use htsp_core::{Pmhl, PmhlConfig, PostMhl, PostMhlConfig};
-use htsp_graph::{Graph, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator};
+use htsp_graph::{gen, Graph, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator};
 use htsp_partition::TdPartitionConfig;
-use htsp_throughput::{RoadNetworkServer, SystemConfig, ThroughputHarness};
+use htsp_throughput::{
+    AlgorithmKind, BuildParams, CoalescePolicy, RoadNetworkServer, SystemConfig, ThroughputHarness,
+    ThroughputResult,
+};
 use std::time::Instant;
 
 /// A deferred algorithm constructor (used to time index construction).
@@ -73,6 +72,72 @@ fn experiment_graphs(full: bool) -> Vec<(String, Graph)> {
     } else {
         default_experiment_graphs()
     }
+}
+
+/// The named experiment datasets: laptop-scale stand-ins for Table I.
+fn datasets() -> Vec<(String, Graph)> {
+    gen::Preset::all()
+        .iter()
+        .map(|p| (p.name().to_string(), p.build(42)))
+        .collect()
+}
+
+/// A small/medium pair used by most experiments (keeps runtimes short).
+fn default_experiment_graphs() -> Vec<(String, Graph)> {
+    [gen::Preset::Tiny, gen::Preset::Small]
+        .iter()
+        .map(|p| (p.name().to_string(), p.build(42)))
+        .collect()
+}
+
+/// Hosts one registry algorithm over `graph` in a measurement-friendly
+/// [`RoadNetworkServer`]: manual flushing only (the harness forces its own
+/// batch boundaries), no query workers.
+fn host_algorithm(
+    graph: &Graph,
+    kind: AlgorithmKind,
+    k: usize,
+    threads: usize,
+) -> RoadNetworkServer {
+    RoadNetworkServer::builder()
+        .algorithm(kind)
+        .build_params(BuildParams::new(k, threads))
+        .coalesce(CoalescePolicy::manual())
+        .start(graph)
+}
+
+/// Runs the throughput harness for every algorithm in `kinds` (each hosted in
+/// its own [`RoadNetworkServer`]) and returns the per-algorithm results.
+fn run_throughput_comparison(
+    graph: &Graph,
+    kinds: &[AlgorithmKind],
+    config: SystemConfig,
+    k: usize,
+    threads: usize,
+    num_batches: usize,
+) -> Vec<ThroughputResult> {
+    let harness = ThroughputHarness::new(config, 7, num_batches);
+    kinds
+        .iter()
+        .map(|&kind| {
+            let server = host_algorithm(graph, kind, k, threads);
+            let result = harness.run(&server);
+            server.shutdown();
+            result
+        })
+        .collect()
+}
+
+/// Formats one result row of the throughput comparison tables.
+fn format_result_row(name: &str, r: &ThroughputResult) -> String {
+    format!(
+        "{:<12} | t_u = {:>9.4} s | t_q = {:>10.3} µs | |L| = {:>8.2} MB | λ*_q = {:>12.1} q/s",
+        name,
+        r.avg_update_time,
+        r.avg_query_time * 1e6,
+        r.index_size_bytes as f64 / (1024.0 * 1024.0),
+        r.throughput(),
+    )
 }
 
 fn laptop_config() -> SystemConfig {
@@ -225,7 +290,7 @@ fn exp3_throughput(full: bool) {
     println!("\n=== Exp 3 (Fig. 12): throughput comparison ===");
     for (name, g) in experiment_graphs(full) {
         println!("--- dataset {name} ---");
-        let results = run_throughput_comparison(&g, AlgorithmSet::Fast, laptop_config(), 8, 4, 2);
+        let results = run_throughput_comparison(&g, &AlgorithmKind::FAST, laptop_config(), 8, 4, 2);
         for r in &results {
             println!("{}", format_result_row(&r.algorithm, r));
         }
@@ -238,7 +303,7 @@ fn exp4_qps_evolution(full: bool) {
     let (name, g) = &experiment_graphs(full)[0];
     println!("dataset: {name}");
     let harness = ThroughputHarness::new(laptop_config(), 9, 1);
-    for &kind in AlgorithmSet::Fast.kinds() {
+    for kind in AlgorithmKind::FAST {
         let server = host_algorithm(g, kind, 8, 4);
         let r = harness.run(&server);
         server.shutdown();
@@ -263,7 +328,7 @@ fn exp5_parameter_sweeps(full: bool) {
             update_volume: volume,
             ..laptop_config()
         };
-        let results = run_throughput_comparison(g, AlgorithmSet::OursOnly, cfg, 8, 4, 1);
+        let results = run_throughput_comparison(g, &AlgorithmKind::OURS, cfg, 8, 4, 1);
         for r in &results {
             println!("|U|={:>5}  {}", volume, format_result_row(&r.algorithm, r));
         }
@@ -274,7 +339,7 @@ fn exp5_parameter_sweeps(full: bool) {
             update_interval: dt,
             ..laptop_config()
         };
-        let results = run_throughput_comparison(g, AlgorithmSet::OursOnly, cfg, 8, 4, 1);
+        let results = run_throughput_comparison(g, &AlgorithmKind::OURS, cfg, 8, 4, 1);
         for r in &results {
             println!("δt={:>5}s  {}", dt, format_result_row(&r.algorithm, r));
         }
@@ -285,7 +350,7 @@ fn exp5_parameter_sweeps(full: bool) {
             max_response_time: rq,
             ..laptop_config()
         };
-        let results = run_throughput_comparison(g, AlgorithmSet::OursOnly, cfg, 8, 4, 1);
+        let results = run_throughput_comparison(g, &AlgorithmKind::OURS, cfg, 8, 4, 1);
         for r in &results {
             println!("R*={:>4}s  {}", rq, format_result_row(&r.algorithm, r));
         }
@@ -429,5 +494,34 @@ fn exp8_postmhl_bandwidth(full: bool) {
             r.avg_update_time,
             r.throughput()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dataset_presets_are_available() {
+        let d = datasets();
+        assert_eq!(d.len(), 4);
+        for (name, g) in &d {
+            assert!(!name.is_empty());
+            assert!(g.num_vertices() >= 1000);
+        }
+    }
+
+    #[test]
+    fn algorithm_registry_builds_ours() {
+        let g = gen::grid(8, 8, gen::WeightRange::new(1, 20), 3);
+        let params = BuildParams::new(4, 2);
+        let names: Vec<_> = AlgorithmKind::OURS
+            .iter()
+            .map(|kind| kind.build(&g, &params).name())
+            .collect();
+        assert_eq!(names.len(), 2);
+        assert!(names.contains(&"PMHL"));
+        assert!(names.contains(&"PostMHL"));
+        assert_eq!(AlgorithmKind::ALL.len(), 9);
     }
 }

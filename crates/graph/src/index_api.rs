@@ -152,8 +152,8 @@
 //! evaluate the Lemma 1 throughput bound; the `QueryEngine` additionally
 //! runs real query worker threads against the published snapshots to report
 //! *measured* QPS curves, in single-call and in session/batched mode; and
-//! `bench-pr4` measures submit-to-visible latency against the coalescing
-//! Δt.
+//! the `perfbench` benchmark measures submit-to-visible latency under a live
+//! update stream.
 //!
 //! (The legacy single-object `&mut self` trait `DynamicSpIndex`, deprecated
 //! since 0.2.0, has been removed: it serialized queries against maintenance

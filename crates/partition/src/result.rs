@@ -118,11 +118,6 @@ impl PartitionResult {
         self.vertices.iter().map(|p| p.len()).max().unwrap_or(0)
     }
 
-    /// Size of the largest boundary set (`|B_max|` of Theorem 5).
-    pub fn max_boundary_size(&self) -> usize {
-        self.boundary.iter().map(|b| b.len()).max().unwrap_or(0)
-    }
-
     /// Load-balance factor: largest partition size over the ideal `n / k`
     /// share (1.0 = perfectly balanced). The sharded serving tier reports
     /// this per fleet, since one oversized shard bounds fleet maintenance.

@@ -93,16 +93,6 @@ impl TdPartition {
     pub fn overlay_vertices(&self) -> &[VertexId] {
         &self.overlay_vertices
     }
-
-    /// Number of in-partition vertices (`n_p` of Theorem 5).
-    pub fn num_in_partition(&self) -> usize {
-        self.vertices.iter().map(|p| p.len()).sum()
-    }
-
-    /// Largest boundary size (`|B_max|` of Theorem 5).
-    pub fn max_boundary_size(&self) -> usize {
-        self.boundaries.iter().map(|b| b.len()).max().unwrap_or(0)
-    }
 }
 
 /// Runs TD-partitioning (Algorithm 2) over a tree decomposition.

@@ -1,6 +1,6 @@
 //! The partitioned view of a road network.
 
-use htsp_graph::{EdgeId, Graph, GraphBuilder, UpdateBatch, VertexId, Weight};
+use htsp_graph::{EdgeId, Graph, GraphBuilder, UpdateBatch, VertexId};
 use htsp_partition::PartitionResult;
 use rustc_hash::FxHashMap;
 
@@ -167,11 +167,6 @@ impl Partitioned {
             }
         }
         routed
-    }
-
-    /// Current weight of an inter-partition edge.
-    pub fn inter_edge_weight(&self, e: EdgeId) -> Weight {
-        self.graph.edge_weight(e)
     }
 }
 

@@ -77,11 +77,6 @@ pub enum SubmitOutcome {
 }
 
 impl SubmitOutcome {
-    /// `true` when the batch was accepted.
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, SubmitOutcome::Accepted(_))
-    }
-
     /// The ticket, when accepted.
     pub fn ticket(self) -> Option<BatchTicket> {
         match self {

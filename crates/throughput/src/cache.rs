@@ -51,8 +51,8 @@
 //! search-based views (BiDijkstra, DCH, the partitioned CH family, where
 //! `t_search` is µs–ms), marginally or not at all for pure label lookups
 //! (DH2H/MHL answer in ~100 ns — about the price of the probe itself). It is
-//! config-gated off by default for exactly that reason; `bench-pr5` measures
-//! both sides.
+//! config-gated off by default for exactly that reason; `BENCH_pr5.json`
+//! records both sides.
 //!
 //! # Worked example
 //!

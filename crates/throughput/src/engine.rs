@@ -92,7 +92,8 @@ pub enum WorkloadKind {
     /// per-worker [`HotPairStream`]. The workload real result caches feed
     /// on — run it against a server with and without
     /// [`ServerBuilder::result_cache`](crate::ServerBuilder::result_cache)
-    /// for the cached vs uncached QPS comparison of `bench-pr5`.
+    /// for the cached vs uncached QPS comparison
+    /// (`tests/hot_pair_workloads.rs` pins its direction).
     HotPairs {
         /// Zipf exponent `s` (0 = uniform over the universe; typical
         /// navigation traffic is ~0.8–1.2; larger = more skew).

@@ -18,7 +18,9 @@
 //!   so the first staged publication of the batch already answers on them)
 //!   and reports the submit-to-visible latency. This is read-your-writes:
 //!   after it returns, [`SnapshotPublisher::snapshot`] reflects the update.
-//!   It rides on [`SnapshotPublisher::wait_for_version`], not polling.
+//!   It rides on the publisher's version watch and re-checks the ticket
+//!   every 20 ms, so a repair that dies fails the waiter instead of
+//!   blocking it.
 //! * [`UpdateTicket::wait_applied`] — blocks until the whole staged repair
 //!   finished and yields the [`UpdateOutcome`]: publish versions, the
 //!   [`UpdateTimeline`], and the [`CowStats`] snapshot-isolation price.
@@ -26,6 +28,12 @@
 //! The feed never blocks queries: readers keep draining published snapshots
 //! while the maintenance thread repairs, exactly as before — the feed only
 //! moves the *submission* side off the caller's thread.
+//!
+//! The feed fails closed. An update naming an edge the graph does not have,
+//! or a zero weight, is rejected at [`UpdateFeed::submit`]: its ticket fails
+//! at once and the update never reaches the maintainer. If the maintenance
+//! thread panics, the feed shuts down and every unresolved ticket (queued or
+//! mid-repair) fails at once, as does every later submission.
 
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryHub};
 use htsp_graph::cow::CowStats;
@@ -34,7 +42,7 @@ use htsp_graph::{
     UpdateTimeline,
 };
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// When the maintenance thread turns pending updates into a batch.
@@ -94,6 +102,23 @@ impl Default for CoalescePolicy {
     }
 }
 
+/// How often [`UpdateTicket::wait_visible`] re-checks for a failed ticket
+/// while it waits on the publisher.
+const FAILURE_CHECK_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Why `update` cannot be applied to a graph of `num_edges` edges, if it
+/// cannot: the edge is out of range or the new weight is zero. Both would
+/// panic the thread that installs the weights.
+pub(crate) fn reject_reason(update: &EdgeUpdate, num_edges: usize) -> Option<&'static str> {
+    if update.edge.index() >= num_edges {
+        Some("edge id out of range")
+    } else if update.new_weight == 0 {
+        Some("new weight must be positive")
+    } else {
+        None
+    }
+}
+
 /// Where one submitted update currently is in the ingest pipeline.
 #[derive(Clone)]
 enum TicketPhase {
@@ -104,8 +129,8 @@ enum TicketPhase {
     Flushed { first_version: u64, seq: u64 },
     /// The batch's staged repair completed.
     Resolved(Arc<UpdateOutcome>),
-    /// The feed shut down (or its maintenance thread panicked) before the
-    /// batch completed.
+    /// The update was rejected at submission, or the feed shut down (or its
+    /// maintenance thread panicked) before the batch completed.
     Failed(&'static str),
 }
 
@@ -123,7 +148,10 @@ impl TicketCell {
     }
 
     fn advance(&self, phase: TicketPhase) {
-        *self.phase.lock().expect("ticket poisoned") = phase;
+        // A waiter panics holding the lock only on a terminal phase, and
+        // the phase is one assignment, so a poisoned value is still valid;
+        // recovering it keeps the unwind guard from panicking again.
+        *self.phase.lock().unwrap_or_else(PoisonError::into_inner) = phase;
         self.advanced.notify_all();
     }
 }
@@ -182,10 +210,21 @@ impl UpdateTicket {
     ///
     /// # Panics
     ///
-    /// Panics if the feed shut down before the update's batch was applied.
+    /// Panics if the update was rejected at submission, or the feed shut
+    /// down before the update's batch was applied.
     pub fn wait_visible(&self) -> Visibility {
         let (first_version, seq) = self.wait_flushed();
-        self.publisher.wait_for_version(first_version);
+        // A repair that dies before its first publication fails the ticket
+        // but never publishes `first_version`; re-check between bounded
+        // waits so the caller cannot block on a version that will not come.
+        while !self
+            .publisher
+            .wait_for_version_timeout(first_version, FAILURE_CHECK_INTERVAL)
+        {
+            if let TicketPhase::Failed(why) = &*self.cell.phase.lock().expect("ticket poisoned") {
+                panic!("update ticket failed: {why}");
+            }
+        }
         Visibility {
             version: first_version,
             batch_seq: seq,
@@ -198,7 +237,8 @@ impl UpdateTicket {
     ///
     /// # Panics
     ///
-    /// Panics if the feed shut down before the update's batch was applied.
+    /// Panics if the update was rejected at submission, or the feed shut
+    /// down before the update's batch was applied.
     pub fn wait_applied(&self) -> Arc<UpdateOutcome> {
         let mut phase = self.cell.phase.lock().expect("ticket poisoned");
         loop {
@@ -321,6 +361,8 @@ struct FeedState {
 struct FeedShared {
     publisher: Arc<SnapshotPublisher>,
     graph: Arc<RwLock<Graph>>,
+    /// Edge count of `graph` (weights change, the topology never does).
+    num_edges: usize,
     state: Mutex<FeedState>,
     /// Wakes the maintenance thread (new work / shutdown).
     wake: Condvar,
@@ -340,13 +382,18 @@ pub struct UpdateFeed {
 impl UpdateFeed {
     /// Enqueues one edge-weight update; the returned ticket resolves when
     /// the update's coalesced batch is (first visible, then fully) applied.
+    ///
+    /// An update whose edge is out of range or whose new weight is zero is
+    /// rejected: its ticket is failed before this returns.
     pub fn submit(&self, update: EdgeUpdate) -> UpdateTicket {
         let cell = TicketCell::new();
         let submitted_at = Instant::now();
         let trace = TraceId::next();
         {
             let mut state = self.shared.state.lock().expect("feed poisoned");
-            if state.shutdown {
+            if let Some(why) = reject_reason(&update, self.shared.num_edges) {
+                cell.advance(TicketPhase::Failed(why));
+            } else if state.shutdown {
                 cell.advance(TicketPhase::Failed("feed is shut down"));
             } else {
                 self.shared.metrics.submitted.inc();
@@ -416,18 +463,6 @@ impl UpdateFeed {
         }
     }
 
-    /// Number of updates waiting to be coalesced.
-    pub fn pending_len(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("feed poisoned")
-            .pending
-            .iter()
-            .filter(|e| e.update.is_some())
-            .count()
-    }
-
     /// Cumulative ingest counters, read from the telemetry registry (the
     /// same series the Prometheus export renders).
     pub fn stats(&self) -> FeedStats {
@@ -467,10 +502,12 @@ impl UpdateFeed {
         hub: Arc<TelemetryHub>,
     ) -> Self {
         let metrics = FeedMetrics::register(&hub);
+        let num_edges = graph.read().expect("server graph poisoned").num_edges();
         UpdateFeed {
             shared: Arc::new(FeedShared {
                 publisher,
                 graph,
+                num_edges,
                 state: Mutex::new(FeedState {
                     pending: Vec::new(),
                     oldest: None,
@@ -495,6 +532,10 @@ impl UpdateFeed {
         policy: CoalescePolicy,
     ) -> Box<dyn IndexMaintainer> {
         let shared = &*self.shared;
+        let mut guard = FailOnUnwind {
+            feed: self,
+            in_flight: Vec::new(),
+        };
         let mut batch_seq = 0u64;
         // Capture each publication so per-update publish/visible spans can
         // be attributed after the repair returns: publish hooks run
@@ -610,6 +651,9 @@ impl UpdateFeed {
                     seq: batch_seq,
                 });
             }
+            guard
+                .in_flight
+                .extend(drained.iter().map(|e| Arc::clone(&e.cell)));
             // Install the new weights in the server's graph (brief write
             // lock), then repair under a read lock so `with_graph` readers
             // are only ever blocked by the weight installation itself.
@@ -640,6 +684,7 @@ impl UpdateFeed {
                 let mut state = shared.state.lock().expect("feed poisoned");
                 state.applying = false;
             }
+            guard.in_flight.clear();
             for entry in &drained {
                 entry
                     .cell
@@ -714,18 +759,48 @@ impl UpdateFeed {
         }
     }
 
-    /// Fails every ticket still unresolved (called if the maintenance
-    /// thread is gone for good).
-    pub(crate) fn poison_pending(&self, why: &'static str) {
-        let drained = {
-            let mut state = self.shared.state.lock().expect("feed poisoned");
+    /// Shuts the feed down and fails every queued ticket and every ticket
+    /// of `in_flight` (the batch mid-repair). Queued jobs are dropped, so
+    /// their callers fail instead of waiting for a thread that is gone.
+    fn poison(&self, in_flight: &[Arc<TicketCell>], why: &'static str) {
+        let (queued, jobs) = {
+            // Lock even if poisoned: this runs while a panic unwinds.
+            let mut state = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             state.shutdown = true;
-            std::mem::take(&mut state.pending)
+            state.applying = false;
+            (
+                std::mem::take(&mut state.pending),
+                std::mem::take(&mut state.jobs),
+            )
         };
-        for entry in drained {
-            entry.cell.advance(TicketPhase::Failed(why));
+        drop(jobs);
+        let queued = queued.into_iter().map(|e| e.cell);
+        for cell in in_flight.iter().cloned().chain(queued) {
+            cell.advance(TicketPhase::Failed(why));
         }
         self.shared.drained.notify_all();
+    }
+}
+
+/// Fails every ticket when the maintenance loop unwinds, so a panic in the
+/// maintainer resolves every waiter at once instead of leaving it blocked
+/// until shutdown (or forever).
+struct FailOnUnwind<'a> {
+    feed: &'a UpdateFeed,
+    /// Tickets of the batch being repaired.
+    in_flight: Vec<Arc<TicketCell>>,
+}
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.feed
+                .poison(&self.in_flight, "maintenance thread panicked");
+        }
     }
 }
 

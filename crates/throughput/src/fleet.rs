@@ -322,12 +322,6 @@ impl ShardReport {
     pub fn queries(&self) -> u64 {
         self.local_queries + self.cross_queries
     }
-
-    /// The `q`-th percentile (0..=1) of this shard's visibility lags, in
-    /// seconds; 0.0 when no update was routed here.
-    pub fn lag_percentile(&self, q: f64) -> f64 {
-        self.visibility_lags.quantile_secs(q)
-    }
 }
 
 /// Aggregated telemetry of a [`ShardedFleet`].
@@ -370,29 +364,6 @@ impl FleetReport {
     /// per touched shard).
     pub fn total_queries(&self) -> u64 {
         self.shards.iter().map(|s| s.queries()).sum()
-    }
-
-    /// Fleet-wide query pairs per second since start.
-    pub fn fleet_qps(&self) -> f64 {
-        if self.elapsed <= 0.0 {
-            return 0.0;
-        }
-        self.total_queries() as f64 / self.elapsed
-    }
-
-    /// Total updates routed to shards.
-    pub fn total_updates(&self) -> u64 {
-        self.shards.iter().map(|s| s.updates_routed).sum()
-    }
-
-    /// The `q`-th percentile (0..=1) of submit-to-visible lag across every
-    /// update routed to any shard, in seconds.
-    pub fn lag_percentile(&self, q: f64) -> f64 {
-        let mut merged = LatencyHistogram::new();
-        for s in &self.shards {
-            merged.merge(&s.visibility_lags);
-        }
-        merged.quantile_secs(q)
     }
 
     /// Result-cache counters summed over all shards

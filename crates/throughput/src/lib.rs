@@ -81,8 +81,8 @@ pub use engine::{
 pub use feed::{CoalescePolicy, FeedStats, UpdateFeed, UpdateOutcome, UpdateTicket, Visibility};
 pub use fleet::{FleetReport, ShardReport, ShardedFleet};
 pub use loadgen::{
-    find_knee, run_open_loop, run_open_loop_with_telemetry, ArrivalProcess, ClassReport,
-    LoadProfile, LoadReport, OpenLoopStream, Pacer, RequestClass, RequestMix, ScheduledRequest,
+    run_open_loop, run_open_loop_with_telemetry, ArrivalProcess, ClassReport, LoadProfile,
+    LoadReport, OpenLoopStream, Pacer, RequestClass, RequestMix, ScheduledRequest,
 };
 pub use model::{lemma1_bound, staged_throughput, QueryStats};
 pub use registry::{AlgorithmKind, BuildParams};

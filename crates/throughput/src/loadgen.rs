@@ -28,10 +28,7 @@
 //!   call), so queueing delay — and generator lateness — is charged to the
 //!   measured latency. The resulting [`LoadReport`] carries per-class
 //!   latency histograms, goodput/shed/expired counters, and the
-//!   [`SloVerdict`] against the profile's [`SloTarget`];
-//! * [`find_knee`] — binary search for the highest offered rate that still
-//!   passes a caller-supplied predicate (e.g. "p95 under the SLO with
-//!   nothing shed"), the *knee* of the latency-throughput curve.
+//!   [`SloVerdict`] against the profile's [`SloTarget`].
 //!
 //! Submitting with a generation timestamp in the past is exactly what makes
 //! the measurement honest under overload: if the generator falls behind (or
@@ -523,15 +520,6 @@ impl LoadReport {
             self.answered as f64 / self.elapsed.as_secs_f64()
         }
     }
-
-    /// Fraction of offered requests that were not answered.
-    pub fn loss_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            1.0 - self.answered as f64 / self.offered as f64
-        }
-    }
 }
 
 /// Drives `profile` against `service` and reports what happened.
@@ -724,31 +712,6 @@ fn run_open_loop_inner(
     }
 }
 
-/// Binary search for the knee: the highest offered rate in `[lo, hi]`
-/// (req/s) whose measurement still `passes`.
-///
-/// The caller's closure runs one measurement at the probed rate (typically
-/// [`run_open_loop`] against a *fresh* service) and says whether it met the
-/// SLO. `lo` is assumed to pass and `hi` to fail — the search halves the
-/// bracket `iters` times and returns the last passing rate (or `lo` if
-/// every probe failed). Wall time is `iters` measurements.
-pub fn find_knee<F>(lo: f64, hi: f64, iters: usize, mut passes: F) -> f64
-where
-    F: FnMut(f64) -> bool,
-{
-    assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-    let (mut lo, mut hi) = (lo, hi);
-    for _ in 0..iters {
-        let mid = 0.5 * (lo + hi);
-        if passes(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,14 +808,6 @@ mod tests {
         }
         let frac = counts[0] as f64 / 2000.0;
         assert!((frac - 0.9).abs() < 0.05, "90/10 mix came out {frac:.3}");
-    }
-
-    #[test]
-    fn knee_search_converges() {
-        // Pass exactly below 420 req/s: the knee estimate must approach it
-        // from below.
-        let knee = find_knee(100.0, 1000.0, 20, |rate| rate < 420.0);
-        assert!(knee <= 420.0 && knee > 415.0, "knee {knee:.2}");
     }
 
     /// Drives `pacer` through `n` arrivals at `rate` req/s and returns the

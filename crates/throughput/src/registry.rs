@@ -5,9 +5,10 @@
 //! (§VII) and [`AlgorithmKind::build`] turns a kind plus [`BuildParams`] into
 //! a boxed [`IndexMaintainer`]. This is the registry the
 //! [`RoadNetworkServer`](crate::RoadNetworkServer) builder consumes, and it
-//! replaces the hand-rolled constructor lists that used to live in
-//! `htsp-bench` and the integration tests: one place decides how a name maps
-//! to index machinery, everywhere else says *which* index it wants.
+//! replaces the hand-rolled constructor lists that used to live in the
+//! experiment harness and the integration tests: one place decides how a
+//! name maps to index machinery, everywhere else says *which* index it
+//! wants.
 
 use htsp_baselines::{BiDijkstraBaseline, DchBaseline, Dh2hBaseline, ToainBaseline};
 use htsp_core::{Mhl, Pmhl, PmhlConfig, PostMhl, PostMhlConfig};

@@ -24,7 +24,9 @@
 //! [`FleetTicket::wait_visible`] means *visible on every touched shard*: the
 //! owning shard's first publication for intra updates, plus the epoch
 //! publication when the update is boundary-incident (inter-partition updates
-//! live only in the overlay, so they wait on the epoch alone).
+//! live only in the overlay, so they wait on the epoch alone). An update
+//! with an out-of-range edge id or a zero weight is rejected at submission:
+//! its ticket fails at once and the router thread never sees it.
 //!
 //! # Query path
 //!
@@ -41,8 +43,7 @@
 //! across all targets.
 
 use crate::cache::{CachedSession, DistanceCache};
-use crate::feed::CoalescePolicy;
-use crate::feed::{UpdateFeed, UpdateTicket};
+use crate::feed::{reject_reason, CoalescePolicy, UpdateFeed, UpdateTicket};
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryHub};
 use htsp_graph::{
     Dist, EdgeUpdate, Graph, QuerySession, QueryView, SnapshotPublisher, TraceId, UpdateBatch,
@@ -67,6 +68,8 @@ pub(crate) struct FleetTopology {
     pub boundary_overlay: Vec<Vec<VertexId>>,
     /// Per shard: `(vertices, edges, boundary vertices)`.
     pub shard_sizes: Vec<(usize, usize, usize)>,
+    /// Number of edges of the global graph (the valid update edge ids).
+    pub num_edges: usize,
     /// Number of overlay vertices (`|B|`).
     pub overlay_vertices: usize,
     /// Number of overlay edges (inter edges + partition shortcuts).
@@ -112,6 +115,7 @@ impl FleetTopology {
             boundary_local,
             boundary_overlay,
             shard_sizes,
+            num_edges: p.graph.num_edges(),
             overlay_vertices: core.overlay.num_vertices(),
             overlay_edges: core.overlay.graph.num_edges(),
             balance: p.partition.balance(),
@@ -297,7 +301,8 @@ impl FleetTicket {
     ///
     /// # Panics
     ///
-    /// Panics if the fleet shut down before the update was applied.
+    /// Panics if the update was rejected at submission, or the fleet shut
+    /// down before the update was applied.
     pub fn wait_visible(&self) -> FleetVisibility {
         let (shard, boundary) = self.wait_routed();
         let mut shard_version = None;
@@ -469,9 +474,16 @@ impl FleetRouter {
     /// drains a batch — backpressure, so a runaway producer cannot queue
     /// updates without limit. Use [`FleetRouter::try_submit`] to shed
     /// instead of blocking.
+    ///
+    /// An update whose edge is out of range or whose new weight is zero is
+    /// rejected: its ticket is failed before this returns.
     pub fn submit(&self, update: EdgeUpdate) -> FleetTicket {
         let cell = FleetTicketCell::new();
         let submitted_at = Instant::now();
+        if let Some(why) = reject_reason(&update, self.topo.num_edges) {
+            cell.fail(why);
+            return FleetTicket { cell, submitted_at };
+        }
         {
             let mut state = self.shared.state.lock().expect("router poisoned");
             while !state.shutdown && state.pending_updates >= self.shared.ingest_bound {
@@ -489,10 +501,15 @@ impl FleetRouter {
 
     /// Non-blocking admission: like [`FleetRouter::submit`], but an ingest
     /// queue at its bound sheds the update (returns `None`, counted in the
-    /// fleet report) instead of blocking the producer.
+    /// fleet report) instead of blocking the producer. A rejected update
+    /// gets a failed ticket, as with [`FleetRouter::submit`].
     pub fn try_submit(&self, update: EdgeUpdate) -> Option<FleetTicket> {
         let cell = FleetTicketCell::new();
         let submitted_at = Instant::now();
+        if let Some(why) = reject_reason(&update, self.topo.num_edges) {
+            cell.fail(why);
+            return Some(FleetTicket { cell, submitted_at });
+        }
         {
             let mut state = self.shared.state.lock().expect("router poisoned");
             if !state.shutdown && state.pending_updates >= self.shared.ingest_bound {

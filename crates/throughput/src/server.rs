@@ -492,12 +492,11 @@ impl RoadNetworkServer {
         }
         let handle = self.maintenance.take()?;
         self.feed.begin_shutdown();
+        // A panicked maintenance thread already failed every ticket on
+        // its way out; re-raise the panic here.
         match handle.join() {
             Ok(maintainer) => Some(maintainer),
-            Err(panic) => {
-                self.feed.poison_pending("maintenance thread panicked");
-                std::panic::resume_unwind(panic);
-            }
+            Err(panic) => std::panic::resume_unwind(panic),
         }
     }
 }

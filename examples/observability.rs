@@ -15,8 +15,9 @@
 //!   single request spent its time.
 //!
 //! The example validates both exports with the hub's own validators and
-//! exits nonzero on any malformed line, unparsable JSON, or unbalanced
-//! span counts — CI runs it as the telemetry format gate.
+//! exits nonzero on any malformed line, unparsable JSON, unbalanced span
+//! counts, a pipeline metric family missing from the export, or empty
+//! per-stage repair histograms — CI runs it as the telemetry format gate.
 //!
 //! Run with: `cargo run --release --example observability`
 
@@ -140,6 +141,37 @@ fn main() {
             snap.spans_opened, snap.spans_closed
         );
         failed = true;
+    }
+    // Every layer of the pipeline must show up in the export: ingest,
+    // repair stages, publication, admission, cache, fleet router, and the
+    // load generator.
+    for family in [
+        "htsp_ingest_",
+        "htsp_stage_seconds",
+        "htsp_publish_",
+        "htsp_admission_",
+        "htsp_cache_",
+        "htsp_fleet_",
+        "htsp_loadgen_",
+    ] {
+        if !snap.prometheus.contains(family) {
+            eprintln!("MISSING metric family {family}* in the Prometheus exposition");
+            failed = true;
+        }
+    }
+    // The traced updates went through the staged repair, so the per-stage
+    // histograms must hold samples.
+    let stage_samples: u64 = hub
+        .histogram_values()
+        .iter()
+        .filter(|(name, _)| name.starts_with("htsp_stage_seconds"))
+        .map(|(_, h)| h.count())
+        .sum();
+    if stage_samples == 0 {
+        eprintln!("EMPTY htsp_stage_seconds histograms after the traced updates");
+        failed = true;
+    } else {
+        println!("htsp_stage_seconds: {stage_samples} stage samples");
     }
     // A taste of the exposition: the first few metric families.
     for line in snap.prometheus.lines().take(12) {

@@ -108,9 +108,8 @@
 //! queue is governed by an [`AdmissionPolicy`] (unbounded blocking, bounded
 //! shedding, or per-request deadlines), and the open-loop load subsystem
 //! ([`throughput::loadgen`]) measures it the way real traffic would: seeded
-//! Poisson arrival streams, weighted request mixes, latency histograms with
-//! p50/p95/p99 [`SloTarget`] verdicts, and a knee search for the highest
-//! offered rate that still meets the SLO.
+//! Poisson arrival streams, weighted request mixes, and latency histograms
+//! with p50/p95/p99 [`SloTarget`] verdicts.
 //!
 //! For skewed traffic, `ServerBuilder::result_cache(CacheConfig)` enables
 //! the snapshot-versioned [`DistanceCache`]: answers are memoized per

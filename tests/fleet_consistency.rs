@@ -9,7 +9,7 @@
 //! additionally covers the boundary-detour concatenation of the cross-shard
 //! query path (Theorem 2's overlay distance preservation).
 
-use htsp::graph::{gen, EdgeUpdate, QuerySession, QuerySet, UpdateGenerator};
+use htsp::graph::{gen, EdgeId, EdgeUpdate, QuerySession, QuerySet, UpdateGenerator, VertexId};
 use htsp::search::dijkstra_distance;
 use htsp::{AlgorithmKind, CoalescePolicy, FleetConfig, ShardedFleet};
 
@@ -76,35 +76,65 @@ fn one_to_many_and_matrix_match_global_dijkstra() {
     fleet.shutdown();
 }
 
-/// Smoke path for serving a DIMACS network: write a grid as `.gr`, start a
-/// fleet straight from the file, and check exactness + an update round.
+/// Serving a DIMACS network: for a written grid and for the bundled
+/// fixture (an 8×8 grid with comments and blank lines interleaved, the way
+/// real `.gr` files come), the streaming loader must agree with the
+/// reference reader edge for edge, and a fleet started straight from the
+/// file must serve exactly before and after an update round.
 #[test]
 fn fleet_from_dimacs_serves_exactly() {
+    use htsp::graph::dimacs::{load_dimacs_streaming_file, read_gr_file, write_gr_file};
     let g = gen::grid(6, 6, gen::WeightRange::new(1, 20), 17);
     let dir = std::env::temp_dir().join("htsp_fleet_dimacs_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("grid.gr");
-    htsp::graph::dimacs::write_gr_file(&g, &path).unwrap();
+    let written = dir.join("grid.gr");
+    write_gr_file(&g, &written).unwrap();
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/smoke.gr");
 
-    let fleet = ShardedFleet::from_dimacs(&path, FleetConfig::new(2, AlgorithmKind::Dch))
-        .expect("readable fixture");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(fleet.num_shards(), 2);
-    let mut session = fleet.session();
-    assert_eq!(session.graph().num_vertices(), g.num_vertices());
-    let queries = QuerySet::random(session.graph(), 15, 3);
-    assert_session_exact(&mut session, &queries, "from_dimacs");
+    for path in [written.clone(), fixture] {
+        let label = path.display().to_string();
+        let reference = read_gr_file(&path).expect("reference reader");
+        let csr = load_dimacs_streaming_file(&path).expect("streaming loader");
+        assert_eq!(csr.num_vertices(), reference.num_vertices(), "{label}");
+        // Edge ids may differ between the loaders, so compare by endpoints.
+        let key = |u: VertexId, v: VertexId, w| (u.0.min(v.0), u.0.max(v.0), w);
+        let mut expected: Vec<_> = reference.edges().map(|(_, u, v, w)| key(u, v, w)).collect();
+        let mut streamed: Vec<_> = (0..csr.num_edges())
+            .map(|i| {
+                let e = EdgeId::from_index(i);
+                let (u, v) = csr.edge_endpoints(e);
+                key(u, v, csr.edge_weight(e))
+            })
+            .collect();
+        expected.sort_unstable();
+        streamed.sort_unstable();
+        assert_eq!(streamed, expected, "{label}: loaders disagree");
+        assert_eq!(
+            csr.overflow_len(),
+            0,
+            "{label}: weights must quantize exactly"
+        );
 
-    let batch = {
-        let s = fleet.session();
-        UpdateGenerator::new(1).generate(s.graph(), 10)
-    };
-    fleet.router().submit_all(batch.as_slice().iter().copied());
-    fleet.wait_idle();
-    let mut after = fleet.session();
-    let queries = QuerySet::random(after.graph(), 15, 4);
-    assert_session_exact(&mut after, &queries, "from_dimacs after updates");
-    fleet.shutdown();
+        let fleet = ShardedFleet::from_dimacs(&path, FleetConfig::new(2, AlgorithmKind::Dch))
+            .expect("readable fixture");
+        assert_eq!(fleet.num_shards(), 2);
+        let mut session = fleet.session();
+        assert_eq!(session.graph().num_vertices(), reference.num_vertices());
+        let queries = QuerySet::random(session.graph(), 15, 3);
+        assert_session_exact(&mut session, &queries, &label);
+
+        let batch = {
+            let s = fleet.session();
+            UpdateGenerator::new(1).generate(s.graph(), 10)
+        };
+        fleet.router().submit_all(batch.as_slice().iter().copied());
+        fleet.wait_idle();
+        let mut after = fleet.session();
+        let queries = QuerySet::random(after.graph(), 15, 4);
+        assert_session_exact(&mut after, &queries, &format!("{label} after updates"));
+        fleet.shutdown();
+    }
+    std::fs::remove_file(&written).ok();
 
     // The error path surfaces cleanly too.
     assert!(ShardedFleet::from_dimacs(dir.join("missing.gr"), FleetConfig::default()).is_err());

@@ -93,7 +93,8 @@ fn hit_rate_telemetry_is_reproducible() {
 
 #[test]
 fn hit_rate_grows_with_skew() {
-    // The acceptance direction of bench-pr5, pinned deterministically: at a
+    // The acceptance direction of the result-cache study (BENCH_pr5.json),
+    // pinned deterministically: at a
     // capacity below the universe, more skew → more of the mass fits → a
     // higher hit rate.
     let mut last = -1.0f64;
